@@ -2,64 +2,45 @@
 
 Unlike the model benchmarks under ``benchmarks/``, which measure the
 *simulated* machine (rounds, h-relations, PIM time), this harness measures
-the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on five
-scenarios chosen to stress different engine paths, each run on BOTH round
-engines (``backend="object"`` and ``backend="columnar"``):
+the *simulator*: wall-clock seconds, tasks/sec and rounds/sec of the round
+engine (:class:`repro.sim.machine.PIMMachine`) on six scenarios chosen to
+stress different engine paths:
 
 - ``macro_successor`` -- the acceptance macro scenario: a P=128 skip list
   serving batched-successor sessions (dominated by search-step forwards
   and per-round module activation);
 - ``pointer_walk`` -- search+successor only: raw search messages against
   a prebuilt list, resolved to successors from the replies, with no pivot
-  machinery in the way.  This is the storage-layer scenario: the arena
-  storage's vectorized wavefront walk versus the object graph's per-hop
-  walk, measured via the ``storages`` dimension below;
+  machinery in the way (the per-hop walk over the node graph is the
+  whole probe);
 - ``engine_echo`` -- many tiny rounds of CPU-issued sends with small
   fanout (stresses send/step fixed overhead at low occupancy);
 - ``forward_chain`` -- long module-to-module continuation chains
-  (stresses the forward path and drain loop; fully vectorized on the
-  columnar backend);
+  (stresses the forward path and drain loop);
 - ``fanout_broadcast`` -- one CPU broadcast per round to every module
-  (the high-fanout dispatch-stress case: the columnar engine retires the
-  whole round as one array accumulate);
+  (the high-fanout dispatch-stress case);
 - ``mixed_dispatch`` -- many distinct function ids per round, issued in
-  per-fn runs (stresses grouped dispatch: one batch call per function id
-  versus one context dispatch per task).
-
-Handlers that matter for throughput register *batch* variants via
-``machine.register_batch`` -- one call per round over contiguous chunks,
-inert on the object backend (the scalar handler remains the reference
-semantics; ``repro.verify.differ`` certifies the streams bit-identical).
+  per-fn runs (stresses per-task dispatch across many handlers).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_wallclock.py [--quick]
-        [--repeat N] [--profile] [--out PATH] [--backend object|columnar]
+        [--repeat N] [--profile] [--out PATH]
 
 Writes ``benchmarks/perf/BENCH_simwall.json``::
 
     {
       "config": {"quick": false, "repeat": 3},
       "backends": {
-        "object":   {"scenarios": {"<name>": {"seconds": ..., "tasks": ...,
-                                              "rounds": ..., "tasks_per_sec": ...,
-                                              "rounds_per_sec": ..., "params": {...}}}},
-        "columnar": {"scenarios": {...}}
+        "object": {"scenarios": {"<name>": {"seconds": ..., "tasks": ...,
+                                            "rounds": ..., "tasks_per_sec": ...,
+                                            "rounds_per_sec": ..., "params": {...}}}}
       },
-      "speedup": {"<name>": <columnar tasks/sec over object tasks/sec>},
-      "storages": {
-        "object": {"scenarios": {"macro_successor": {...},
-                                 "pointer_walk": {...}}},
-        "arena":  {"scenarios": {...}}
-      },
-      "storage_speedup": {"<name>": <arena tasks/sec over object tasks/sec>},
       "handler_profile": {"<fn>": {"seconds": ..., "calls": ...}}  # --profile
     }
 
-The ``storages`` dimension runs the skip-list scenarios once per
-structure-storage backend (``storage="object"`` / ``"arena"``), both on
-the columnar round engine -- it isolates the storage layout the walk
-reads from the engine the round executes on.
+``"object"`` names the one round engine; the ``backends`` level keeps the
+committed baseline's layout, which ``check_regression.py`` reads.
 
 ``--quick`` shrinks every scenario to a seconds-scale smoke run (used by
 CI); full runs are the numbers quoted in EXPERIMENTS.md.  Round logging
@@ -74,41 +55,28 @@ import json
 import os
 import random
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.ops_search import search_message
 from repro.core.skiplist import PIMSkipList
-from repro.core.storage import STORAGES
-from repro.sim.fastpath import BCAST, COLS
 from repro.sim.machine import PIMMachine
 from repro.sim.profiling import HandlerProfile, ThroughputProbe
-from repro.sim.task import Reply
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional everywhere
-    np = None
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simwall.json")
 
-#: Both round engines, measured in this order (object first: it is the
-#: reference the speedup ratios divide by).
-BACKENDS = ("object", "columnar")
-
 
 def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
-                    backend=None, storage=None, fault_plan=None):
+                    fault_plan=None):
     """The ISSUE acceptance scenario: P=128 batched-successor session.
 
     ``fault_plan`` optionally installs a chaos plan after the build (the
     regression gate uses a zero-rate plan to price the reliable-delivery
     protocol's envelope overhead against the fault-free fast path).
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
-    sl = PIMSkipList(machine, name="bench", storage=storage)
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
+    sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
     sl.build([(k, k) for k in keys])
@@ -123,19 +91,15 @@ def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
 
 
 def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
-                 seed=13, backend=None, storage=None):
-    """Search+successor only: the storage layer's raw walk throughput.
+                 seed=13):
+    """Search+successor only: the raw walk throughput.
 
     Each batch issues ``B`` search messages straight at the prebuilt
     list (no pivot machinery, no hint derivation) and resolves every
     reply to its successor pair -- the walk itself is the whole probe.
-    On arena storage the wavefront advances as array gathers per round;
-    on object storage every hop is one Python step.  The regression
-    gate holds the arena's floor at >= 2x object on this scenario.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
-    sl = PIMSkipList(machine, name="bench", storage=storage)
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
+    sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
     sl.build([(k, k) for k in keys])
@@ -157,30 +121,14 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
     return probe
 
 
-def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
-                backend=None):
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3):
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
 
     def echo(ctx, x, tag=None):
         ctx.charge(1)
         ctx.reply(x, tag=tag)
 
-    def batch_echo(bct, chunks):
-        # Mirrors `echo` exactly: one unit of work and one reply per task.
-        replies = bct.replies
-        work = bct.work
-        sent = bct.sent
-        for ch in chunks:
-            rows = ch.rows if ch.rows is not None \
-                else list(bct.machine._iter_chunk(ch))
-            for mid, args, tag, _size in rows:
-                replies.append(Reply(args[0], tag, mid))
-                work[mid] += 1
-                sent[mid] += 1
-
     machine.register("echo", echo)
-    machine.register_batch("echo", batch_echo)
     rng = random.Random(seed)
     plan = [[(rng.randrange(P), i) for i in range(fanout)]
             for _ in range(rounds)]
@@ -192,10 +140,8 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
     return probe
 
 
-def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
-                  backend=None):
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5):
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
 
     def hop(ctx, remaining, opid, tag=None):
         ctx.charge(1)
@@ -206,55 +152,6 @@ def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
                         "hop", (remaining - 1, opid))
 
     machine.register("hop", hop)
-    if np is not None:
-        def batch_hop(bct, chunks):
-            # Vectorized chain step: every task charges 1 and sends 1
-            # (a reply when its hop budget is spent, a forward
-            # otherwise), so both flat accumulators are one bincount.
-            if len(chunks) == 1 and chunks[0].kind == COLS:
-                ch = chunks[0]  # steady state: one column chunk per round
-                mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
-            else:
-                parts = []
-                for ch in chunks:
-                    if ch.kind == COLS:
-                        parts.append((ch.dests, ch.cols[0], ch.cols[1]))
-                    else:
-                        rows = ch.rows
-                        k = len(rows)
-                        parts.append((
-                            np.fromiter((r[0] for r in rows), np.int64, k),
-                            np.fromiter((r[1][0] for r in rows), np.int64, k),
-                            np.fromiter((r[1][1] for r in rows), np.int64, k),
-                        ))
-                if len(parts) == 1:
-                    mids, rem, opid = parts[0]
-                else:
-                    mids = np.concatenate([t[0] for t in parts])
-                    rem = np.concatenate([t[1] for t in parts])
-                    opid = np.concatenate([t[2] for t in parts])
-            counts = np.bincount(mids, minlength=P)
-            bct.add_work_array(counts)
-            bct.add_sent_array(counts)
-            done = rem == 0
-            if done.any():
-                replies = bct.replies
-                for mid, op in zip(mids[done].tolist(),
-                                   opid[done].tolist()):
-                    replies.append(Reply(op, None, mid))
-                live = ~done
-                mids, rem, opid = mids[live], rem[live], opid[live]
-            if mids.size:
-                # The consumed chunk's arrays are ours now (the engine
-                # has retired the chunk), so advance the chain in place.
-                mids *= 31
-                mids += opid
-                mids += 1
-                mids %= P
-                rem -= 1
-                bct.stage_cols("hop", mids, (rem, opid))
-
-        machine.register_batch("hop", batch_hop)
     with probe_machine(machine) as probe:
         for c in range(chains):
             machine.send(c % P, "hop", (hops, c))
@@ -262,38 +159,18 @@ def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
     return probe
 
 
-def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
-                     backend=None):
+def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9):
     """High-fanout dispatch stress: one CPU broadcast per round.
 
-    Every module charges one unit per broadcast; the columnar backend
-    retires the whole P-task round as a single array accumulate instead
-    of P context dispatches.
+    Every module charges one unit per broadcast: P context dispatches
+    per round.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
 
     def accum(ctx, i, tag=None):
         ctx.charge(1)
 
     machine.register("accum", accum)
-    if np is not None:
-        ones = np.ones(P, dtype=np.float64)
-
-        def batch_accum(bct, chunks):
-            k = 0
-            for ch in chunks:
-                if ch.kind == BCAST:
-                    k += 1
-                else:
-                    for mid, _args, _tag, _size in ch.rows:
-                        bct.work[mid] += 1
-            if k == 1:
-                bct.add_work_array(ones)
-            elif k:
-                bct.add_work_array(ones * k)
-
-        machine.register_batch("accum", batch_accum)
     with probe_machine(machine) as probe:
         for i in range(rounds):
             machine.broadcast("accum", (i,))
@@ -302,17 +179,14 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
 
 
 def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
-                   seed=11, backend=None):
+                   seed=11):
     """Many-distinct-function-id dispatch stress.
 
     Each round issues ``fns`` runs of ``per_fn`` messages (one run per
-    function id, so the columnar queues tail-merge each run into one
-    contiguous chunk); grouped dispatch then makes ``fns`` batch calls
-    per round where the object engine makes ``fns * per_fn`` context
-    dispatches.
+    function id): ``fns * per_fn`` context dispatches per round across
+    ``fns`` handlers.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False)
 
     def make_scalar(j):
         def h(ctx, x, tag=None):
@@ -320,26 +194,11 @@ def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
             ctx.reply(x + j, tag=tag)
         return h
 
-    def make_batch(j):
-        def bh(bct, chunks):
-            replies = bct.replies
-            work = bct.work
-            sent = bct.sent
-            for ch in chunks:
-                rows = ch.rows if ch.rows is not None \
-                    else list(bct.machine._iter_chunk(ch))
-                for mid, args, tag, _size in rows:
-                    replies.append(Reply(args[0] + j, tag, mid))
-                    work[mid] += 1
-                    sent[mid] += 1
-        return bh
-
     names = []
     for j in range(fns):
         name = f"mix{j}"
         names.append(name)
         machine.register(name, make_scalar(j))
-        machine.register_batch(name, make_batch(j))
     rng = random.Random(seed)
     plan = []
     for _ in range(rounds):
@@ -381,15 +240,8 @@ SCENARIOS = {
 }
 
 
-#: Scenarios that exercise the skip-list structure itself and therefore
-#: accept a ``storage=`` override (the storages dimension below).
-STORAGE_SCENARIOS = ("macro_successor", "pointer_walk")
-
-
 def run(quick: bool = False, repeat: int = 3, profile: bool = False,
-        out_path: Optional[str] = OUT_PATH,
-        backends: Sequence[str] = BACKENDS,
-        storages: Optional[Sequence[str]] = STORAGES) -> Dict[str, Any]:
+        out_path: Optional[str] = OUT_PATH) -> Dict[str, Any]:
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     handler_profile = HandlerProfile() if profile else None
@@ -399,66 +251,24 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
             machine.set_profiler(handler_profile)
         return ThroughputProbe(machine)
 
-    results: Dict[str, Dict[str, Any]] = {b: {} for b in backends}
+    results: Dict[str, Any] = {}
     for name, (fn, full, small) in SCENARIOS.items():
         params = small if quick else full
-        for backend in backends:
-            best = None
-            for _ in range(repeat):
-                probe = fn(probe_machine, backend=backend, **params)
-                if best is None or probe.seconds < best["seconds"]:
-                    best = probe.as_dict()
-            best["params"] = dict(params)
-            results[backend][name] = best
-            print(f"{backend:<9} {name:<18} {best['seconds']:8.3f}s  "
-                  f"{best['tasks_per_sec']:>12.0f} tasks/s  "
-                  f"{best['rounds_per_sec']:>10.0f} rounds/s")
+        best = None
+        for _ in range(repeat):
+            probe = fn(probe_machine, **params)
+            if best is None or probe.seconds < best["seconds"]:
+                best = probe.as_dict()
+        best["params"] = dict(params)
+        results[name] = best
+        print(f"{name:<18} {best['seconds']:8.3f}s  "
+              f"{best['tasks_per_sec']:>12.0f} tasks/s  "
+              f"{best['rounds_per_sec']:>10.0f} rounds/s")
 
     doc: Dict[str, Any] = {
         "config": {"quick": quick, "repeat": repeat},
-        "backends": {b: {"scenarios": results[b]} for b in backends},
+        "backends": {"object": {"scenarios": results}},
     }
-    if "object" in results and "columnar" in results:
-        speedup = {}
-        for name in SCENARIOS:
-            obj = results["object"][name]["tasks_per_sec"]
-            col = results["columnar"][name]["tasks_per_sec"]
-            speedup[name] = col / obj if obj > 0 else 0.0
-        doc["speedup"] = speedup
-        print("\ncolumnar speedup (tasks/sec over object):")
-        for name, x in speedup.items():
-            print(f"  {name:<18} {x:6.2f}x")
-
-    # -- storages dimension: same engine, different structure storage ----
-    if storages and profile is False:
-        sresults: Dict[str, Dict[str, Any]] = {s: {} for s in storages}
-        for name in STORAGE_SCENARIOS:
-            fn, full, small = SCENARIOS[name]
-            params = small if quick else full
-            for storage in storages:
-                best = None
-                for _ in range(repeat):
-                    probe = fn(probe_machine, backend="columnar",
-                               storage=storage, **params)
-                    if best is None or probe.seconds < best["seconds"]:
-                        best = probe.as_dict()
-                best["params"] = dict(params)
-                sresults[storage][name] = best
-                print(f"storage={storage:<7} {name:<18} "
-                      f"{best['seconds']:8.3f}s  "
-                      f"{best['tasks_per_sec']:>12.0f} tasks/s")
-        doc["storages"] = {s: {"scenarios": sresults[s]} for s in storages}
-        if "object" in sresults and "arena" in sresults:
-            sspeed = {}
-            for name in STORAGE_SCENARIOS:
-                obj = sresults["object"][name]["tasks_per_sec"]
-                arn = sresults["arena"][name]["tasks_per_sec"]
-                sspeed[name] = arn / obj if obj > 0 else 0.0
-            doc["storage_speedup"] = sspeed
-            print("\narena storage speedup (tasks/sec over object storage, "
-                  "columnar engine):")
-            for name, x in sspeed.items():
-                print(f"  {name:<18} {x:6.2f}x")
     if handler_profile is not None:
         doc["handler_profile"] = handler_profile.as_dict()
         print("\nhottest handlers:\n" + handler_profile.top())
@@ -476,23 +286,14 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3,
                     help="repeats per scenario; best is reported (default 3)")
     ap.add_argument("--profile", action="store_true",
-                    help="per-handler wall-time attribution (slows the run; "
-                         "forces the columnar backend into its profiler "
-                         "fallback, so use it for object-path attribution)")
-    ap.add_argument("--backend", choices=list(BACKENDS), default=None,
-                    help="measure only one backend (default: both)")
-    ap.add_argument("--no-storages", action="store_true",
-                    help="skip the structure-storage dimension "
-                         "(object vs arena on the columnar engine)")
+                    help="per-handler wall-time attribution (slows the run)")
     ap.add_argument("--out", default=OUT_PATH,
                     help="output JSON path (default BENCH_simwall.json)")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error(f"--repeat must be >= 1, got {args.repeat}")
-    backends = BACKENDS if args.backend is None else (args.backend,)
     run(quick=args.quick, repeat=args.repeat, profile=args.profile,
-        out_path=args.out, backends=backends,
-        storages=None if args.no_storages else STORAGES)
+        out_path=args.out)
 
 
 if __name__ == "__main__":

@@ -1,28 +1,10 @@
-"""Wall-clock regression gate for the simulator's round engines.
+"""Wall-clock regression gate for the simulator's round engine.
 
 Re-runs the ``macro_successor`` scenario (the P=128 batched-successor
-session from ``bench_wallclock.py``) on BOTH backends with the
-*committed* baseline's own parameters and fails when either backend's
-measured best-of-N wall time regresses by more than the threshold over
-that backend's recorded seconds.
-
-On top of the per-backend wall-time gates, the script asserts the
-columnar engine's *speedup floors*: the measured columnar-over-object
-tasks/sec ratio must stay above a conservative floor for each gated
-scenario.  The floors are deliberately below the recorded speedups
-(macro 1.23x, forward_chain ~9x, fanout_broadcast ~17x at baseline
-time) so runner noise doesn't flake the gate, but a change that quietly
-collapses the columnar fast path back to object-engine speed fails.
-
-The structure-storage dimension is gated the same way: wall-time gates
-for the macro scenario under *both* storage backends (``object`` and
-``arena``, columnar engine, with extra slack -- these are sub-second
-probes whose best-of-N jitter exceeds the engine gates' 10% envelope),
-plus an arena-over-object speedup floor of >= 2x on the
-``pointer_walk`` scenario -- the search+successor-only probe where the
-arena's vectorized wavefront walk is the whole workload (recorded
-~4.3x; the floor gates the existence of the vectorized path, not the
-runner's luck).
+session from ``bench_wallclock.py``) with the *committed* baseline's own
+parameters and fails when the measured best-of-N wall time regresses by
+more than the threshold over the recorded seconds (the baseline's
+``backends.object`` entry: the one round engine).
 
 Run this *before* anything overwrites ``BENCH_simwall.json`` in the
 working tree (the CI smoke run writes its quick-mode output to a
@@ -35,9 +17,7 @@ the fault-free path.  The gate also prints (informationally, not gated
 -- the protocol's ack traffic is a real, honestly-charged cost, not a
 regression) how much slower the same scenario runs with a zero-rate
 fault plan installed, i.e. the price of the reliable-delivery protocol
-itself.  That run uses the object backend explicitly: a fault plan
-triggers the columnar engine's documented fallback, so the price is an
-object-engine property.
+itself.
 
 The skew-adversary gate reads the committed ``BENCH_pimtree.json``
 (see ``bench_pimtree.py``): it re-measures the same-successor
@@ -66,7 +46,7 @@ The script also gates the serving layer against the committed
 ``BENCH_serve.json`` (see ``bench_serve.py``): the fault-free soak's
 sustained requests/sec must stay above a conservative fraction of the
 recorded baseline (a floor, not a +/- band, for the same anti-flake
-reason as the speedup floors), the fault-free refusal/degraded rate
+reason as the other floors), the fault-free refusal/degraded rate
 must be **exactly zero** (a fault-free server that refuses has broken
 admission or a leaking circuit breaker), and every gated soak must
 report the serving SLO intact.
@@ -92,7 +72,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from bench_wallclock import BACKENDS, SCENARIOS  # noqa: E402
+from bench_wallclock import SCENARIOS  # noqa: E402
 from repro.sim.profiling import ThroughputProbe  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simwall.json")
@@ -113,54 +93,20 @@ DURABLE_THROUGHPUT_FLOOR = 0.25
 DURABLE_RTO_CEILING = 4.0
 
 #: The fault-free soak must sustain at least this fraction of the
-#: committed baseline's requests/sec.  A floor rather than a +/- band,
-#: like the speedup floors: it gates "the serving stack collapsed",
-#: not a given CI runner's luck.
+#: committed baseline's requests/sec.  A floor rather than a +/- band:
+#: it gates "the serving stack collapsed", not a given CI runner's luck.
 SERVE_THROUGHPUT_FLOOR = 0.4
 
 #: Serve scenarios whose SLO verdict is gated (the fault-free one also
 #: carries the throughput floor and the zero-refusal ceiling).
 SERVE_GATED = ("fault_free", "chaos_intermittent")
 
-# Columnar-over-object tasks/sec floors, per scenario.  Conservative by
-# construction: roughly half the speedup recorded in the committed
-# baseline, so they gate the existence of the fast path, not the exact
-# magnitude of a given runner's luck.
-SPEEDUP_FLOORS = {
-    "macro_successor": 1.05,
-    "forward_chain": 4.0,
-    "fanout_broadcast": 8.0,
-}
-
-#: The search+successor-only scenario carrying the arena storage floor.
-STORAGE_GATE_SCENARIO = "pointer_walk"
-
-#: Arena-over-object tasks/sec floor on that scenario (columnar engine).
-#: The committed baseline records ~4.3x; 2x gates the vectorized
-#: wavefront walk's existence with the same anti-flake headroom the
-#: engine floors use.
-STORAGE_SPEEDUP_FLOOR = 2.0
-
-#: Both structure storages, measured in this order (object first: it is
-#: the reference the storage ratios divide by).
-STORAGE_KINDS = ("object", "arena")
-
-#: Extra wall-time slack for the per-storage macro gate.  The storage
-#: scenarios are sub-second probes (the arena macro run is ~0.2s), so
-#: best-of-N jitter routinely exceeds the 10% envelope the longer
-#: engine gates use; the load-immune regression signal for this layer
-#: is STORAGE_SPEEDUP_FLOOR above, and the wall gate only needs to
-#: catch gross (>25%) slowdowns.
-STORAGE_WALL_SLACK = 0.15
-
-
-def measure(name: str, params: dict, repeat: int, backend: str,
-            **extra) -> dict:
-    """Best-of-``repeat`` probe dict for one scenario on one backend."""
+def measure(name: str, params: dict, repeat: int, **extra) -> dict:
+    """Best-of-``repeat`` probe dict for one scenario."""
     fn = SCENARIOS[name][0]
     best = None
     for _ in range(repeat):
-        probe = fn(ThroughputProbe, backend=backend, **params, **extra)
+        probe = fn(ThroughputProbe, **params, **extra)
         if best is None or probe.seconds < best["seconds"]:
             best = probe.as_dict()
     return best
@@ -174,9 +120,9 @@ def report_protocol_price(params: dict, repeat: int,
     fault ever fires."""
     from repro.sim.chaos import FaultPlan, FaultSpec
 
-    armed = measure(GATE_SCENARIO, params, repeat, backend="object",
+    armed = measure(GATE_SCENARIO, params, repeat,
                     fault_plan=FaultPlan(FaultSpec(), seed=0))
-    print(f"chaos protocol price (informational, object backend): "
+    print(f"chaos protocol price (informational): "
           f"fault-free {fault_free_s:.3f}s vs zero-rate plan "
           f"{armed['seconds']:.3f}s "
           f"({armed['seconds'] / fault_free_s:.2f}x)")
@@ -455,7 +401,7 @@ def main() -> int:
               "full-parameter baseline", file=sys.stderr)
         return 1
     if "backends" not in doc:
-        print(f"error: {args.baseline} predates the dual-backend schema; "
+        print(f"error: {args.baseline} predates the backends schema; "
               "regenerate it with bench_wallclock.py", file=sys.stderr)
         return 1
 
@@ -464,88 +410,24 @@ def main() -> int:
     # The committed baseline is a best-of-K probe (K recorded in its
     # config).  Comparing a best-of-3 measurement against a best-of-8
     # baseline is a one-sided bias -- the baseline had more draws at
-    # the minimum -- so wall-time gates measure with at least the
-    # baseline's own repeat count.  Ratio floors keep --repeat: load
-    # cancels in a same-run ratio.
+    # the minimum -- so the wall-time gate measures with at least the
+    # baseline's own repeat count.
     wall_repeat = max(args.repeat, doc.get("config", {}).get("repeat", 1))
 
-    # -- per-backend wall-time gates on the macro scenario ---------------
-    measured: dict = {}
-    for backend in BACKENDS:
-        base = doc["backends"][backend]["scenarios"][GATE_SCENARIO]
-        params = base["params"]
-        baseline_s = base["seconds"]
-        got = measure(GATE_SCENARIO, params, wall_repeat, backend)
-        measured[backend] = got
-        limit_s = baseline_s * (1.0 + args.threshold)
-        ratio = got["seconds"] / baseline_s
-        print(f"{GATE_SCENARIO} [{backend}]: baseline {baseline_s:.3f}s, "
-              f"measured {got['seconds']:.3f}s ({ratio:.2f}x), "
-              f"limit {limit_s:.3f}s (+{args.threshold:.0%}) params={params}")
-        if got["seconds"] > limit_s:
-            failures.append(
-                f"{GATE_SCENARIO} [{backend}] is {ratio:.2f}x the baseline "
-                f"(allowed {1.0 + args.threshold:.2f}x)")
-
-    # -- columnar speedup floors -----------------------------------------
-    for name, floor in SPEEDUP_FLOORS.items():
-        if name == GATE_SCENARIO:
-            per_backend = measured
-        else:
-            params = doc["backends"]["object"]["scenarios"][name]["params"]
-            per_backend = {b: measure(name, params, args.repeat, b)
-                           for b in BACKENDS}
-        obj_tps = per_backend["object"]["tasks_per_sec"]
-        col_tps = per_backend["columnar"]["tasks_per_sec"]
-        speedup = col_tps / obj_tps if obj_tps > 0 else 0.0
-        status = "ok" if speedup >= floor else "FAIL"
-        print(f"speedup floor {name:<18} columnar {speedup:5.2f}x "
-              f"(floor {floor:.2f}x) {status}")
-        if speedup < floor:
-            failures.append(
-                f"{name} columnar speedup {speedup:.2f}x below the "
-                f"{floor:.2f}x floor")
-
-    # -- structure-storage gates (both storages, columnar engine) --------
-    if "storages" not in doc:
+    # -- wall-time gate on the macro scenario -----------------------------
+    base = doc["backends"]["object"]["scenarios"][GATE_SCENARIO]
+    params = base["params"]
+    baseline_s = base["seconds"]
+    measured = measure(GATE_SCENARIO, params, wall_repeat)
+    limit_s = baseline_s * (1.0 + args.threshold)
+    ratio = measured["seconds"] / baseline_s
+    print(f"{GATE_SCENARIO}: baseline {baseline_s:.3f}s, "
+          f"measured {measured['seconds']:.3f}s ({ratio:.2f}x), "
+          f"limit {limit_s:.3f}s (+{args.threshold:.0%}) params={params}")
+    if measured["seconds"] > limit_s:
         failures.append(
-            f"{args.baseline} predates the storage dimension; regenerate "
-            "it with bench_wallclock.py")
-    else:
-        for storage in STORAGE_KINDS:
-            base = doc["storages"][storage]["scenarios"][GATE_SCENARIO]
-            params = base["params"]
-            baseline_s = base["seconds"]
-            got = measure(GATE_SCENARIO, params, wall_repeat, "columnar",
-                          storage=storage)
-            slack = args.threshold + STORAGE_WALL_SLACK
-            limit_s = baseline_s * (1.0 + slack)
-            ratio = got["seconds"] / baseline_s
-            print(f"{GATE_SCENARIO} [storage={storage}]: baseline "
-                  f"{baseline_s:.3f}s, measured {got['seconds']:.3f}s "
-                  f"({ratio:.2f}x), limit {limit_s:.3f}s "
-                  f"(+{slack:.0%})")
-            if got["seconds"] > limit_s:
-                failures.append(
-                    f"{GATE_SCENARIO} [storage={storage}] is {ratio:.2f}x "
-                    f"the baseline (allowed {1.0 + slack:.2f}x)")
-        params = doc["storages"]["object"]["scenarios"][
-            STORAGE_GATE_SCENARIO]["params"]
-        per_storage = {s: measure(STORAGE_GATE_SCENARIO, params,
-                                  args.repeat, "columnar", storage=s)
-                       for s in STORAGE_KINDS}
-        obj_tps = per_storage["object"]["tasks_per_sec"]
-        arn_tps = per_storage["arena"]["tasks_per_sec"]
-        sspeed = arn_tps / obj_tps if obj_tps > 0 else 0.0
-        status = "ok" if sspeed >= STORAGE_SPEEDUP_FLOOR else "FAIL"
-        print(f"storage floor {STORAGE_GATE_SCENARIO:<18} arena "
-              f"{sspeed:5.2f}x (floor {STORAGE_SPEEDUP_FLOOR:.2f}x) "
-              f"{status}")
-        if sspeed < STORAGE_SPEEDUP_FLOOR:
-            failures.append(
-                f"{STORAGE_GATE_SCENARIO} arena storage speedup "
-                f"{sspeed:.2f}x below the {STORAGE_SPEEDUP_FLOOR:.2f}x "
-                "floor")
+            f"{GATE_SCENARIO} is {ratio:.2f}x the baseline "
+            f"(allowed {1.0 + args.threshold:.2f}x)")
 
     if not args.no_serve:
         check_serve(args.serve_baseline, args.repeat, failures)
@@ -557,9 +439,7 @@ def main() -> int:
         check_durable(args.durable_baseline, args.repeat, failures)
 
     if not args.no_chaos:
-        report_protocol_price(
-            doc["backends"]["object"]["scenarios"][GATE_SCENARIO]["params"],
-            args.repeat, measured["object"]["seconds"])
+        report_protocol_price(params, args.repeat, measured["seconds"])
 
     if failures:
         for msg in failures:

@@ -64,8 +64,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         sl.local_remove_leaf(ctx.mid, leaf, ctx.charge)
         leaf.deleted = True
         sl.account_lower_free(leaf)
-        if sl.storage.mirrors:
-            sl.storage.free(leaf)
         chain = leaf.up_chain or []
         # If the tower tops out below the upper part, the top chain node's
         # marker must return nothing extra; if it reaches the upper part,
@@ -87,8 +85,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         ctx.touch(node.nid)
         node.deleted = True
         sl.account_lower_free(node)
-        if sl.storage.mirrors:
-            sl.storage.free(node)
         up_ref = node.up if is_top else None
         ctx.reply(("marked_node", node, node.left, node.right, up_ref),
                   size=1, tag=tag)

@@ -49,7 +49,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         if leaf is not None:
             ctx.touch(leaf.nid)
             leaf.value = value
-            sl.storage.set_value(leaf, value)
         ctx.reply((key, leaf is not None), tag=tag)
 
     return {

@@ -121,12 +121,10 @@ def _apply_func(sl: SkipListStructure, leaf: Node, func: str,
         return None
     if func == "set":
         leaf.value = farg
-        sl.storage.set_value(leaf, farg)
         return None
     if func == "fetch_and_add":
         old = leaf.value
         leaf.value = old + farg
-        sl.storage.set_value(leaf, leaf.value)
         return old
     raise ValueError(f"unknown range function {func!r}")
 

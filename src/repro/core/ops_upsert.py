@@ -65,7 +65,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         if leaf is not None:
             ctx.touch(leaf.nid)
             leaf.value = value
-            sl.storage.set_value(leaf, value)
         ctx.reply((key, leaf is not None), tag=tag)
 
     def h_insert_lower(ctx, node, tag=None):
@@ -125,9 +124,6 @@ def _build_tower(sl: SkipListStructure, key: Hashable, value: Any,
         if below is not None:
             below.up = node
             node.down = below
-            if sl.storage.mirrors:
-                sl.storage.link(below, "up", node)
-                sl.storage.link(node, "down", below)
         nodes.append(node)
         below = node
     leaf = nodes[0]

@@ -30,8 +30,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         ctx.charge(1)
         ctx.touch(node.nid)
         setattr(node, field, value)
-        if sl.storage.mirrors and field in ("right", "up", "down"):
-            sl.storage.link(node, field, value)
         ctx.reply(("ack",), tag=tag)
 
     def h_grow(ctx, target_level, added_levels, tag=None):

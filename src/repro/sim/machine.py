@@ -57,7 +57,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.chaos import ChaosState, FaultPlan
-from repro.sim.config import MachineConfig, resolve_backend
+from repro.sim.config import MachineConfig
 from repro.sim.cpu import CPUSide
 from repro.sim.errors import (LivelockError, MalformedMessageError,
                               UnknownHandlerError)
@@ -89,31 +89,7 @@ class PIMMachine:
     >>> m.send(2, "hello", (21,))
     >>> [r.payload for r in m.drain()]
     [42]
-
-    Two round-engine backends exist behind this constructor:
-    ``PIMMachine(..., backend="object")`` (this class -- the reference
-    slotted-object engine) and ``backend="columnar"`` (the array-native
-    engine, :class:`repro.sim.fastpath.ColumnarPIMMachine`).  With no
-    explicit backend the ``REPRO_SIM_BACKEND`` environment variable
-    decides, defaulting to ``"object"``.  Both backends produce
-    bit-identical model metrics (certified by ``repro.verify.differ``).
     """
-
-    def __new__(cls, num_modules: Optional[int] = None,
-                config: Optional[MachineConfig] = None,
-                **kwargs: Any) -> "PIMMachine":
-        # Backend dispatch happens only for direct PIMMachine(...) calls
-        # with construction arguments; subclasses and argument-less
-        # allocation (copy protocols) get the class they asked for.
-        if cls is PIMMachine and (num_modules is not None
-                                  or config is not None or kwargs):
-            backend = kwargs.get("backend")
-            if backend is None and config is not None:
-                backend = config.backend
-            if resolve_backend(backend) == "columnar":
-                from repro.sim.fastpath import ColumnarPIMMachine
-                return object.__new__(ColumnarPIMMachine)
-        return object.__new__(cls)
 
     def __init__(self, num_modules: Optional[int] = None,
                  config: Optional[MachineConfig] = None, **kwargs: Any) -> None:
@@ -151,10 +127,6 @@ class PIMMachine:
         #: observers must be passive (no sends, no charging).
         self.batch_observer: Optional[Callable[[str, MetricsDelta], None]] = None
         self._handlers: Dict[str, Handler] = {}
-        # fn -> batch handler (see register_batch).  The object engine
-        # never consults this; the columnar backend dispatches a round's
-        # tasks for a registered fn as ONE call over contiguous chunks.
-        self._batch_handlers: Dict[str, Callable[..., None]] = {}
         # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
         self._staged: Dict[int, list] = {}
         self._log_p = config.log_p
@@ -192,38 +164,6 @@ class PIMMachine:
         """Register every (function id, handler) pair in ``handlers``."""
         for fn, h in handlers.items():
             self.register(fn, h)
-
-    def register_batch(self, fn: str,
-                       batch_handler: Callable[..., None]) -> None:
-        """Register a *batch* variant of the handler for ``fn``.
-
-        A batch handler ``batch_handler(bct, chunks)`` processes one
-        round's entire task population for ``fn`` in a single call over
-        contiguous chunk buffers (see
-        :class:`repro.sim.fastpath.BatchRound`); the columnar backend
-        dispatches it instead of calling the scalar handler per task.
-        On the object backend the registration is inert -- the scalar
-        handler remains the reference semantics, and the differential
-        oracle certifies the two produce bit-identical metric streams.
-
-        Batch handlers must be behaviourally equivalent to their scalar
-        handler under the columnar execution contract: order-insensitive
-        within a round, no reads of the machine RNG, and no mutation of
-        shared replicated structure (see ``repro/sim/fastpath.py``).
-
-        Same collision rule as :meth:`register`: re-registering a
-        different callable under an existing id is an error, the
-        identical callable is a no-op.
-        """
-        existing = self._batch_handlers.get(fn)
-        if existing is not None and existing is not batch_handler:
-            raise ValueError(f"batch handler id {fn!r} already registered")
-        self._batch_handlers[fn] = batch_handler
-
-    @property
-    def backend(self) -> str:
-        """The round-engine backend this machine runs (``"object"``)."""
-        return "object"
 
     # -- profiling ----------------------------------------------------------
 

@@ -112,8 +112,8 @@ class HandlerProfile:
 
     A profile constructed with ``enabled=False`` is *dropped* by
     ``set_profiler`` -- the round loop runs its unprofiled path with zero
-    per-task lookups, exactly as if no profiler were installed (and the
-    columnar backend does not fall back to the object engine for it).
+    per-task lookups, exactly as if no profiler were installed.  There is
+    one round engine, so a profile always times the engine that runs.
     """
 
     __slots__ = ("seconds", "calls", "enabled")

@@ -59,14 +59,13 @@ __all__ = [
 ]
 
 #: Structures the chaos harness can put under a fault schedule.  Each
-#: factory builds a fresh *empty* structure on ``machine`` (``storage``
-#: only applies to the skip list).  The PIM-tree uses the same tiny
-#: geometry as its differ adapter, so chaos-sized sessions exercise
-#: interior levels, splits, and shadow promotion/rebroadcast.
+#: factory builds a fresh *empty* structure on ``machine``.  The
+#: PIM-tree uses the same tiny geometry as its differ adapter, so
+#: chaos-sized sessions exercise interior levels, splits, and shadow
+#: promotion/rebroadcast.
 STRUCTURE_FACTORIES = {
-    "skiplist": lambda machine, storage: PIMSkipList(machine,
-                                                     storage=storage),
-    "pimtree": lambda machine, storage: PIMTree(
+    "skiplist": PIMSkipList,
+    "pimtree": lambda machine: PIMTree(
         machine, leaf_size=4, fanout=4, promote_threshold=2),
 }
 
@@ -145,19 +144,15 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
                   batch_size: int = 16, checkpoint_every: int = 3,
                   allow_restore: bool = True,
                   session: Optional[Session] = None,
-                  storage: Optional[str] = None,
                   structure: str = "skiplist",
                   check_overhead: bool = True) -> ChaosReport:
     """Replay one fuzz session under a machine-level fault schedule.
 
     ``session`` overrides the fuzzed one (the repro-replay path); its
     seed then labels the report.  ``structure`` picks the structure
-    under chaos (see :data:`STRUCTURE_FACTORIES`); ``storage`` picks
-    the skip list's structure storage for the twin, the chaos run, and
-    every standby a recovery builds (``None`` defers to the environment
-    override).  The report carries a fingerprint of every observable
-    (results, fault statistics, rounds) for the bit-identical-rerun
-    check.
+    under chaos (see :data:`STRUCTURE_FACTORIES`).  The report carries
+    a fingerprint of every observable (results, fault statistics,
+    rounds) for the bit-identical-rerun check.
     """
     if schedule not in MACHINE_SCHEDULES:
         raise ValueError(f"unknown fault schedule {schedule!r}; known: "
@@ -180,7 +175,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     # and the only difference under chaos is fault handling).
     oracle = SequentialOracle(items)
     twin_machine = PIMMachine(num_modules=num_modules, seed=session.seed)
-    twin = factory(twin_machine, storage)
+    twin = factory(twin_machine)
     twin.build(items)
     expected: List = []
     for batch in session.batches:
@@ -195,7 +190,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     def standby():
         m = PIMMachine(num_modules=num_modules, seed=session.seed)
         machines.append(m)
-        return factory(m, storage)
+        return factory(m)
 
     chaotic = standby()
     chaotic.build(items)
@@ -274,7 +269,6 @@ def check_chaos_determinism(session_seed: int, schedule: str,
                             fault_seed: int = 0, *,
                             num_modules: int = 8, num_batches: int = 10,
                             batch_size: int = 16,
-                            storage: Optional[str] = None,
                             structure: str = "skiplist",
                             ) -> Optional[Divergence]:
     """Run the same chaos session twice; the fingerprints must match.
@@ -282,8 +276,8 @@ def check_chaos_determinism(session_seed: int, schedule: str,
     Returns the describing divergence on mismatch, else ``None``.
     """
     kwargs = dict(num_modules=num_modules, num_batches=num_batches,
-                  batch_size=batch_size, storage=storage,
-                  structure=structure, check_overhead=False)
+                  batch_size=batch_size, structure=structure,
+                  check_overhead=False)
     first = chaos_session(session_seed, schedule, fault_seed, **kwargs)
     second = chaos_session(session_seed, schedule, fault_seed, **kwargs)
     if first.fingerprint == second.fingerprint:
@@ -319,14 +313,12 @@ def chaos_matrix(session_seeds: Sequence[int],
                  schedules: Sequence[str], fault_seed: int = 0, *,
                  num_modules: int = 8, num_batches: int = 10,
                  batch_size: int = 16,
-                 storage: Optional[str] = None,
                  structure: str = "skiplist") -> List[ChaosReport]:
     """The full sweep: every session seed under every fault schedule."""
     return [
         chaos_session(seed, schedule, fault_seed,
                       num_modules=num_modules, num_batches=num_batches,
-                      batch_size=batch_size, storage=storage,
-                      structure=structure)
+                      batch_size=batch_size, structure=structure)
         for schedule in schedules
         for seed in session_seeds
     ]

@@ -6,10 +6,8 @@ Three layers, mirroring how the structure earns trust:
   over mixed batch streams, with the integrity sweep after every wave
   (leaf chain, directory, mirror parity, shadow parity).
 - **conformance** -- the shared ``apply_batch`` surface through the
-  differential driver across both engine backends and both skip-list
-  storages (the tree ignores ``storage``; the parameterization proves
-  the *harness* composes, and the skip list rides along as the second
-  implementation in every cell).
+  differential driver, with the skip list riding along as the second
+  implementation, plus a bit-identical metric stream across reruns.
 - **mutation** -- the registered ``pimtree_shadow_stale`` fault breaks
   shadow-subtree invalidation on purpose; the differ, the final-state
   check and the tree's own integrity sweep must all see it, and the
@@ -29,15 +27,11 @@ from repro.verify.fuzz import fuzz_session
 from repro.workloads.sessions import Session, SessionBatch
 from tests.conftest import ReferenceMap
 
-BACKENDS = ("object", "columnar")
-STORAGES = ("object", "arena")
-
-
-def make_tree(p=8, seed=0, backend=None, **kw):
+def make_tree(p=8, seed=0, **kw):
     kw.setdefault("leaf_size", 4)
     kw.setdefault("fanout", 4)
     kw.setdefault("promote_threshold", 2)
-    machine = PIMMachine(num_modules=p, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=p, seed=seed)
     return machine, PIMTree(machine, **kw)
 
 
@@ -136,30 +130,26 @@ class TestPropertyMixed:
 
 
 class TestConformance:
-    """The shared surface, via the differential driver: every cell runs
-    the skip list and the PIM-tree against the oracle with round
-    envelopes, then the mutated-rerun checks the differ layers on."""
+    """The shared surface, via the differential driver: the skip list and
+    the PIM-tree run against the oracle with round envelopes, then the
+    mutated-rerun checks the differ layers on."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_differ_cell(self, backend, storage):
+    def test_differ_cell(self):
         session = fuzz_session(11, num_batches=8, batch_size=16)
-        report = verify_session(session, impls=["skiplist", "pimtree"],
-                                backend=backend, storage=storage,
-                                check_backends=False, check_storages=False)
+        report = verify_session(session, impls=["skiplist", "pimtree"])
         assert report.ok, [str(d) for d in report.divergences]
 
     def test_pimtree_registered(self):
         assert "pimtree" in IMPLEMENTATIONS
 
-    def test_metric_stream_identical_across_backends(self):
+    def test_metric_stream_identical_across_reruns(self):
         """The tree's per-batch metric stream must be bit-identical on
-        the object and columnar engines (the golden-metrics contract)."""
+        two fresh machines with the same seed (the golden-metrics
+        contract)."""
         session = fuzz_session(5, num_batches=10, batch_size=16)
         streams = {}
-        for backend in BACKENDS:
-            machine = PIMMachine(num_modules=8, seed=session.seed,
-                                 backend=backend)
+        for run in ("first", "rerun"):
+            machine = PIMMachine(num_modules=8, seed=session.seed)
             tree = PIMTree(machine, leaf_size=4, fanout=4,
                            promote_threshold=2)
             tree.build([(k, k) for k in session.initial_keys])
@@ -168,8 +158,8 @@ class TestConformance:
                 before = machine.snapshot()
                 tree.apply_batch(batch.op, batch.payload)
                 stream.append(machine.delta_since(before).as_dict())
-            streams[backend] = stream
-        assert streams["object"] == streams["columnar"]
+            streams[run] = stream
+        assert streams["first"] == streams["rerun"]
 
 
 def _stale_shadow_session() -> Session:

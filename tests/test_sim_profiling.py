@@ -183,16 +183,6 @@ class TestDisabledProbesAreNoOps:
         machine.drain()
         assert prof.calls == {}
 
-    def test_disabled_profile_keeps_columnar_engine_active(self):
-        machine = PIMMachine(num_modules=4, seed=0, backend="columnar")
-        machine.register("work", _work)
-        machine.set_profiler(HandlerProfile(enabled=False))
-        assert machine.columnar_active
-        machine.set_profiler(HandlerProfile())
-        assert not machine.columnar_active
-        machine.set_profiler(None)
-        assert machine.columnar_active
-
     def test_zero_profiling_allocations_when_off(self):
         """With profiling off, the round loop performs ZERO allocations
         attributable to the profiling module -- the probes are dead code,

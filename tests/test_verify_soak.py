@@ -148,7 +148,7 @@ class TestVerifyCliExitCodes:
 
         rc = verify_main(["fuzz", "--sessions", "1", "--batches", "3",
                           "--batch-size", "6", "--modules", "4",
-                          "--no-determinism", "--no-backends",
+                          "--no-determinism",
                           "--no-metamorphic"])
         assert rc == 0
         assert "verified clean" in capsys.readouterr().out
@@ -162,7 +162,7 @@ class TestVerifyCliExitCodes:
                           "--inject-fault", "skiplist:drop_get",
                           "--repro-dir", str(tmp_path),
                           "--max-evals", "40",
-                          "--no-determinism", "--no-backends",
+                          "--no-determinism",
                           "--no-metamorphic"])
         assert rc == 1
         out = capsys.readouterr().out.strip().splitlines()
