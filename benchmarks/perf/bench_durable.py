@@ -10,13 +10,15 @@ Measures :mod:`repro.recovery.durable` end to end:
   second (informational, never gated) cell re-runs with real
   ``os.fsync`` to show the physical-disk multiplier.
 - ``rto_log_length`` -- restart time (RTO) as a function of WAL length:
-  a state dir with one snapshot and N replayable records is reopened
-  through a :class:`RecoveryManager` (scan, verify, restore, replay);
-  RTO should grow roughly linearly in N.
+  a state dir with one snapshot and N logged records is reopened
+  through a :class:`RecoveryManager` (scan, verify, fold the tail onto
+  the snapshot, restore the net state in one batch).  RTO grows with
+  the distinct keys the tail touches, not with its record count; every
+  record here writes fresh keys, so that is still N times the batch.
 - ``rto_checkpoint_interval`` -- RTO at a fixed mutation count as the
   snapshot cadence tightens: more frequent checkpoints mean fewer
-  records to replay, trading write-path snapshot cost for restart
-  speed.  This is the RPO=0 system's only tunable on the RTO axis.
+  records to scan and fold, trading write-path snapshot cost for
+  restart speed.  This is the RPO=0 system's only tunable on the RTO axis.
 
 Every recovery cell also verifies the restart (restored range scan ==
 the expected oracle state) and records that verdict in ``ok`` -- a fast

@@ -329,10 +329,11 @@ class SkipListStructure:
             return cur.local_left, cur
         prev = cur
         cur = cur.local_right
-        charge(1)
+        steps = 1  # one unit per leaf walked, charged in one call
         while cur is not None and cur.key < key:
             prev, cur = cur, cur.local_right
-            charge(1)
+            steps += 1
+        charge(steps)
         return prev, cur
 
     def local_insert_leaf(self, mid: int, leaf: Node, charge: Charge) -> None:

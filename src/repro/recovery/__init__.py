@@ -11,12 +11,13 @@ Three layers, composable:
 - :mod:`repro.recovery.manager` -- the failover driver: periodic
   checkpoints + a mutating-batch log; on :class:`~repro.sim.errors.ModuleCrashed`
   or :class:`~repro.sim.errors.DeliveryTimeout` it rebuilds on standby
-  hardware, replays, and retries -- or returns a typed
+  hardware, restores the checkpoint with the log folded on, and
+  retries -- or returns a typed
   :class:`~repro.recovery.manager.DegradedResult` when recovery is
   disabled or exhausted.  Never a wrong answer.
 - :mod:`repro.recovery.durable` -- the host-crash half: an on-disk WAL
   plus atomic snapshots under one state dir, so the manager's
-  checkpoint + log survive process death and restarts replay to
+  checkpoint + log survive process death and restarts restore
   exactly the acked prefix (RPO = 0).
 """
 

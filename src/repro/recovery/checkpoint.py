@@ -8,7 +8,9 @@ for initial loading (the paper assumes the input "starts evenly divided
 among the PIM modules"; a checkpoint drain is the reverse of that bulk
 load).  *Restore* is the opposite: it re-enters the machine through the
 ordinary batched operations and is charged honestly (rounds, messages,
-PIM work, words).
+PIM work, words).  For the ordered maps a restore can also fold a log
+of later upsert/delete batches onto the checkpoint first, so the net
+state enters the machine in one batch.
 
 Canonical payloads:
 
@@ -38,7 +40,7 @@ Canonical payloads:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.skiplist import PIMSkipList
 from repro.structures.fifo import PIMQueue
@@ -146,10 +148,36 @@ def merged_lsm_items(chk: Checkpoint) -> List[Tuple[Any, Any]]:
     return sorted(merged.items())
 
 
-def restore_structure(chk: Checkpoint, target: Any) -> int:
-    """Load ``chk`` into the freshly built, *empty* structure ``target``.
+def _fold(items: Iterable[Tuple[Any, Any]],
+          log: Iterable[Tuple[str, Sequence]]) -> List[Tuple[Any, Any]]:
+    """Net state of ordered-map ``items`` after the mutating batches in
+    ``log``, sorted: ``upsert`` sets (the last duplicate in a batch
+    wins), ``delete`` pops (an absent key is a no-op)."""
+    state: Dict[Any, Any] = dict(items)
+    for op, payload in log:
+        if op == "upsert":
+            state.update(payload)
+        elif op == "delete":
+            for key in payload:
+                state.pop(key, None)
+        else:
+            raise ValueError(f"cannot fold logged op {op!r}")
+    return sorted(state.items())
 
-    Restore re-enters the machine through the structure's ordinary
+
+def restore_structure(chk: Checkpoint, target: Any,
+                      log: Sequence[Tuple[str, Sequence]] = ()) -> int:
+    """Load ``chk`` with the mutating batches ``log`` folded on top into
+    the freshly built, *empty* structure ``target``.
+
+    The log (``(op, payload)`` pairs of ``upsert`` / ``delete``
+    batches, oldest first) is folded on the host into the net state,
+    and that state is loaded in one batch -- a restart or failover
+    needs the logical contents, not the model cost of re-deriving them
+    batch by batch.  Only the ordered maps (skip list, LSM, PIM-tree)
+    accept a non-empty log.
+
+    The load re-enters the machine through the structure's ordinary
     batched operations, so it is charged honestly on ``target``'s
     machine (this is the "re-replicate onto standby hardware" leg of
     recovery -- run it on a clean machine).  Returns the number of
@@ -160,18 +188,22 @@ def restore_structure(chk: Checkpoint, target: Any) -> int:
             raise ValueError(f"checkpoint kind {chk.kind!r} != skiplist")
         if target.size != 0:
             raise ValueError("restore requires an empty structure")
-        if chk.payload:
-            target.batch_upsert(list(chk.payload))
-        return len(chk.payload)
+        items = _fold(chk.payload, log)
+        if items:
+            target.batch_upsert(items)
+        return len(items)
     if isinstance(target, PIMLSMStore):
         if chk.kind != "lsm":
             raise ValueError(f"checkpoint kind {chk.kind!r} != lsm")
         if target.size_estimate != 0:
             raise ValueError("restore requires an empty structure")
-        items = merged_lsm_items(chk)
+        items = _fold(merged_lsm_items(chk), log)
         if items:
             target.batch_upsert(items)
         return len(items)
+    if isinstance(target, (PIMQueue, PIMPriorityQueue)) and log:
+        raise ValueError(
+            f"{type(target).__name__} restore takes no replay log")
     if isinstance(target, PIMQueue):
         if chk.kind != "fifo":
             raise ValueError(f"checkpoint kind {chk.kind!r} != fifo")
@@ -193,7 +225,8 @@ def restore_structure(chk: Checkpoint, target: Any) -> int:
             raise ValueError(f"checkpoint kind {chk.kind!r} != pimtree")
         if target.first_leaf is not None:
             raise ValueError("restore requires an empty tree")
-        if chk.payload:
-            target.build(list(chk.payload))
-        return len(chk.payload)
+        items = _fold(chk.payload, log)
+        if items:
+            target.build(items)
+        return len(items)
     raise TypeError(f"no restore support for {type(target).__name__}")

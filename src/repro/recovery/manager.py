@@ -1,4 +1,4 @@
-"""Checkpoint/replay recovery driver for batched structures.
+"""Checkpoint + log recovery driver for batched structures.
 
 :class:`RecoveryManager` wraps one structure on one (possibly
 fault-injected) machine and makes its batch stream survive module
@@ -10,8 +10,9 @@ crashes:
 - when a batch dies with :class:`~repro.sim.errors.ModuleCrashed` or
   :class:`~repro.sim.errors.DeliveryTimeout`, it rebuilds the structure
   on a *clean* standby machine (the ``rebuild`` factory), restores the
-  checkpoint, replays the log, retries the failed batch there, and
-  continues on the new machine.
+  checkpoint with the log folded on top (the net state, loaded in one
+  batch), retries the failed batch there, and continues on the new
+  machine.
 
 The failed batch may have partially executed on the faulty machine
 (some modules applied their slice before the crash surfaced); retrying
@@ -41,8 +42,10 @@ crashes: every successful mutating batch is appended to the on-disk
 WAL **before** ``run`` returns (so an acked write is a durable write,
 RPO = 0), the durable snapshot rotates in lockstep with the in-memory
 checkpoint, and constructing a manager over a state dir with prior
-state restores it -- checkpoint + WAL replay -- onto a fresh
-``rebuild()`` structure instead of using the one passed in.
+state restores it onto a fresh ``rebuild()`` structure instead of
+using the one passed in: the WAL tail is folded onto the snapshot's
+items on the host and the net state is loaded once, so restart cost
+grows with the distinct keys the tail touches, not with its records.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ __all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS",
            "RecoveryEvent", "RecoveryManager"]
 
 #: ``apply_batch`` ops that change structure state (and so must be
-#: logged for replay).  Reads are never logged.
+#: logged and folded into a restore).  Reads are never logged.
 MUTATING_OPS = frozenset({"upsert", "delete"})
 
 
@@ -122,7 +125,12 @@ class DegradedResult:
 
 @dataclass(frozen=True)
 class RecoveryEvent:
-    """One failover: what failed, and what the rebuild replayed."""
+    """One failover: what failed, and what the rebuild restored.
+
+    ``checkpoint_items`` is the checkpoint's logical item count and
+    ``replayed_batches`` the number of logged mutating batches folded
+    into the restore.
+    """
 
     op: str
     cause: str
@@ -138,13 +146,6 @@ def _default_backoff(attempt: int) -> int:
 def _wal_payload(payload: Sequence) -> list:
     """Batch payload -> JSON-safe WAL form (pair tuples become lists)."""
     return [list(p) if isinstance(p, tuple) else p for p in payload]
-
-
-def _replay_payload(op: str, payload: list) -> list:
-    """WAL form -> batch payload (upsert pairs back to tuples)."""
-    if op == "upsert":
-        return [tuple(p) if isinstance(p, list) else p for p in payload]
-    return list(payload)
 
 
 class RecoveryManager:
@@ -200,19 +201,15 @@ class RecoveryManager:
         self.checkpoint: Checkpoint
         if durable is not None and not durable.report.created:
             # Reopened state dir: disk is the source of truth.  The
-            # passed-in structure is discarded; state comes back as
-            # snapshot restore + WAL replay onto clean hardware.
-            standby = rebuild()
+            # passed-in structure is discarded; the WAL tail is folded
+            # onto the snapshot and the net state loaded once onto
+            # clean hardware.
             assert durable.report.checkpoint is not None
-            restore_structure(durable.report.checkpoint, standby)
-            for record in durable.report.records:
-                standby.apply_batch(record.op, _replay_payload(record.op,
-                                                              record.payload))
-            self.structure = standby
             self.checkpoint = durable.report.checkpoint
-            self._log = [(r.op, _replay_payload(r.op, r.payload))
-                         for r in durable.report.records]
+            self._log = [(r.op, r.payload) for r in durable.report.records]
             self._mutations = len(self._log)
+            self.structure = rebuild()
+            restore_structure(self.checkpoint, self.structure, self._log)
             return
         self.checkpoint = checkpoint_structure(structure)
         if durable is not None:
@@ -309,9 +306,7 @@ class RecoveryManager:
                                  cause)
 
         standby = self.rebuild()
-        restore_structure(self.checkpoint, standby)
-        for logged_op, logged_payload in self._log:
-            standby.apply_batch(logged_op, list(logged_payload))
+        restore_structure(self.checkpoint, standby, self._log)
         event = RecoveryEvent(
             op=op, cause=cause,
             checkpoint_items=self.checkpoint.item_count(),

@@ -11,6 +11,7 @@ session -- or quiesces into typed :class:`DegradedResult` refusals.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.skiplist import PIMSkipList
 from repro.recovery import (
@@ -25,11 +26,16 @@ from repro.recovery import (
     reattach_module,
     restore_structure,
 )
+from repro.recovery.durable import DurabilityPolicy, DurableStore, WalRecord
+from repro.recovery.durable.wal import decode_record, encode_record
+from repro.recovery.manager import _wal_payload
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
 from repro.structures.fifo import PIMQueue
 from repro.structures.lsm import PIMLSMStore
+from repro.structures.pimtree import PIMTree
 from repro.structures.priority_queue import PIMPriorityQueue
+from repro.verify.oracle import SequentialOracle
 
 ITEMS = [(k * 100, f"v{k}") for k in range(1, 41)]
 
@@ -99,6 +105,124 @@ class TestCheckpointRoundTrips:
         busy.build(ITEMS[:4])
         with pytest.raises(ValueError, match="empty"):
             restore_structure(chk, busy)
+
+
+def _through_wal(op: str, payload: list) -> list:
+    """``payload`` after a WAL encode/decode round trip (pairs and
+    tuple values come back as JSON lists)."""
+    blob = encode_record(WalRecord(1, op, _wal_payload(payload)))
+    return decode_record(blob[8:]).payload
+
+
+_FOLD_KINDS = {
+    "skiplist": PIMSkipList,
+    "pimtree": PIMTree,
+    "lsm": PIMLSMStore,
+}
+_keys = st.integers(0, 24)
+_values = st.one_of(st.integers(-3, 3), st.text(max_size=2),
+                    st.lists(st.integers(0, 3), max_size=3))
+_logs = st.lists(st.one_of(
+    st.tuples(st.just("upsert"),
+              st.lists(st.tuples(_keys, _values), max_size=8)),
+    st.tuples(st.just("delete"), st.lists(_keys, max_size=6))),
+    max_size=10)
+
+
+class TestFoldedRestore:
+    """``restore_structure(chk, fresh, log)`` loads the net state of the
+    checkpoint plus the logged batches: the same contents the
+    sequential oracle reaches applying them batch by batch."""
+
+    @pytest.mark.parametrize("kind", sorted(_FOLD_KINDS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(initial=st.dictionaries(_keys, st.integers(), max_size=16),
+           log=_logs)
+    @example(initial={1: 10, 2: 20}, log=[
+        ("upsert", [(5, [1, 2]), (5, [3]), (6, "a")]),  # duplicate key
+        ("delete", [5, 99, 2]),                         # 99 is absent
+        ("upsert", [(5, "back"), (2, [0])]),            # re-upsert
+        ("delete", [7, 7]),
+    ])
+    def test_fold_matches_the_oracle_batch_by_batch(self, kind, initial,
+                                                    log):
+        live = _FOLD_KINDS[kind](_machine(p=4))
+        if initial:
+            live.apply_batch("upsert", sorted(initial.items()))
+        if kind == "lsm" and initial:
+            live.apply_batch("delete", sorted(initial)[:2])  # tombstones
+        chk = checkpoint_structure(live)
+        oracle = SequentialOracle(live.apply_batch("range", [(0, 99)])[0])
+        for op, payload in log:
+            oracle.apply_batch(op, payload)
+
+        fresh = _FOLD_KINDS[kind](_machine(seed=5, p=4))
+        wal_log = [(op, _through_wal(op, payload)) for op, payload in log]
+        assert restore_structure(chk, fresh, wal_log) == len(oracle)
+        got = fresh.apply_batch("range", [(0, 99)])[0]
+        assert dict(got) == oracle.as_dict()
+
+    def test_queues_refuse_a_log(self):
+        q = PIMQueue(_machine())
+        q.enqueue_batch([1, 2])
+        pq = PIMPriorityQueue(_machine())
+        pq.insert_batch([(1, "a")])
+        for live in (q, pq):
+            chk = checkpoint_structure(live)
+            with pytest.raises(ValueError, match="log"):
+                restore_structure(chk, type(live)(_machine(seed=3)),
+                                  [("upsert", [(1, 2)])])
+
+
+def _reopened_rounds(root: str, records: int) -> int:
+    """Seed a state dir (snapshot of ``ITEMS``, then ``records`` WAL
+    records on the same 8 hot keys, the last one upserting all of them),
+    reopen it, check its contents, and return the standby's model
+    rounds."""
+    policy = DurabilityPolicy(os_fsync=False)
+    hot = [k * 100 + 50 for k in range(8)]
+
+    def standby() -> PIMSkipList:
+        return PIMSkipList(_machine(seed=17))
+
+    store = DurableStore.open(root, policy)
+    live = standby()
+    live.build(ITEMS)
+    manager = RecoveryManager(live, standby, checkpoint_every=records + 1,
+                              durable=store)
+    oracle = SequentialOracle(ITEMS)
+    for i in range(records - 1):
+        op, payload = (("delete", hot[i % 8:] + [7])
+                       if i % 3 == 2 else
+                       ("upsert", [(k, i) for k in hot[: i % 8 + 1]]))
+        manager.run(op, payload)
+        oracle.apply_batch(op, payload)
+    manager.run("upsert", [(k, -k) for k in hot])
+    oracle.apply_batch("upsert", [(k, -k) for k in hot])
+    store.close()
+
+    store = DurableStore.open(root, policy)
+    try:
+        reopened = RecoveryManager(standby(), standby, durable=store)
+        assert reopened.restored_from_disk
+        assert reopened.log_size == records
+        rounds = reopened.structure.machine.metrics.rounds
+        assert reopened.structure.to_dict() == oracle.as_dict()
+    finally:
+        store.close()
+    return rounds
+
+
+class TestRestartCostTracksKeysNotRecords:
+    def test_reopen_rounds_do_not_grow_with_the_wal_tail(self, tmp_path):
+        """Two tails over the same 8 hot keys, 16 and 256 records long:
+        the folded restore loads the same key set, so the reopened
+        standby spends the same model rounds for both."""
+        short = _reopened_rounds(str(tmp_path / "short"), 16)
+        long_ = _reopened_rounds(str(tmp_path / "long"), 256)
+        assert short == long_ > 0
 
 
 class TestReattachModule:
