@@ -16,9 +16,12 @@ Measures :mod:`repro.recovery.durable` end to end:
   the distinct keys the tail touches, not with its record count; every
   record here writes fresh keys, so that is still N times the batch.
 - ``rto_checkpoint_interval`` -- RTO at a fixed mutation count as the
-  snapshot cadence tightens: more frequent checkpoints mean fewer
-  records to scan and fold, trading write-path snapshot cost for
-  restart speed.  This is the RPO=0 system's only tunable on the RTO axis.
+  in-memory checkpoint cadence tightens.  Past the first snapshot the
+  interval no longer sets the disk cadence: a checkpoint is published
+  only once the WAL since the newest snapshot holds as many items as
+  that snapshot (``DurableStore.snapshot_due``), so the folded tail is
+  bounded by the last snapshot's size plus one interval, and tighter
+  intervals only tighten that bound's second term.
 
 Every recovery cell also verifies the restart (restored range scan ==
 the expected oracle state) and records that verdict in ``ok`` -- a fast
@@ -84,7 +87,7 @@ def bench_wal_append(records: int, pairs: int, *,
     root = tempfile.mkdtemp(prefix="repro-bench-wal-")
     try:
         store = DurableStore.open(root, DurabilityPolicy(
-            fsync_every=1, snapshot_every=records + 1, os_fsync=os_fsync))
+            fsync_every=1, os_fsync=os_fsync))
         store.bootstrap(Checkpoint(kind="skiplist", name="bench",
                                    payload=list(INITIAL_ITEMS)))
         payloads = [[[i * pairs + j, j] for j in range(pairs)]
@@ -113,8 +116,7 @@ def bench_wal_append(records: int, pairs: int, *,
 
 def _durable_manager(root: str, checkpoint_every: int,
                      ) -> Tuple[RecoveryManager, DurableStore]:
-    store = DurableStore.open(root, DurabilityPolicy(
-        snapshot_every=checkpoint_every, os_fsync=False))
+    store = DurableStore.open(root, DurabilityPolicy(os_fsync=False))
 
     def rebuild() -> PIMSkipList:
         return PIMSkipList(PIMMachine(num_modules=NUM_MODULES, seed=3))
@@ -209,9 +211,9 @@ def run(quick: bool = False, repeat: int = 3,
 
     interval_sweep = []
     for interval in intervals:
-        # Stop one mutation short of the next snapshot boundary: the
-        # worst-case restart replays interval-1 records, which is the
-        # RTO the cadence actually buys you.
+        # Stop one mutation short of the next checkpoint boundary; the
+        # tail left on disk also depends on when the last checkpoint
+        # was published (see the module docstring).
         worst_case = (interval_mutations
                       - interval_mutations % interval + interval - 1)
         cell = bench_restart(worst_case, interval, repeat)

@@ -10,10 +10,15 @@ a complete, crash-consistent recipe for the structure's state:
   (RPO = 0).
 - ``snapshot`` atomically publishes a checkpoint covering everything
   durable so far, rotates to a fresh segment, and prunes snapshots /
-  segments that retention no longer needs.  Retention keeps the last
-  ``keep_snapshots`` snapshots *and* every segment needed to replay
-  from the **oldest** kept one, so a corrupt newest snapshot degrades
-  to a longer replay instead of data loss.
+  segments that retention no longer needs.  ``snapshot_due`` says when
+  publishing pays: while fewer than ``keep_snapshots`` valid snapshots
+  are on disk, or once the items logged since the newest snapshot
+  reach that snapshot's item count -- so rewriting the state costs
+  O(1) amortised per logged item, and the tail a reopen folds stays
+  within one snapshot's worth of items plus one checkpoint window.
+  Retention keeps the last ``keep_snapshots`` snapshots *and* every
+  segment needed to replay from the **oldest** kept one, so a corrupt
+  newest snapshot degrades to a longer replay instead of data loss.
 - ``open`` is the reopen path: load the newest valid snapshot, scan
   the segments after it, auto-truncate a torn tail on the *active*
   segment (the one crash artifact the fsync model permits), and hand
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.recovery.checkpoint import Checkpoint
 from repro.recovery.durable.snapshot import (
@@ -79,12 +84,11 @@ class DurabilityPolicy:
       durable.  Larger values batch syncs; a crash may lose up to
       N - 1 *unacked* tail records (never acked ones -- ack waits for
       the covering sync).
-    - ``snapshot_every`` -- advisory snapshot cadence in durable
-      records, consumed by :meth:`DurableStore.should_snapshot`
-      (the recovery manager drives snapshots off its own checkpoint
-      boundary instead).
     - ``keep_snapshots`` -- snapshots retained; segments are kept back
-      to the oldest retained snapshot's LSN.
+      to the oldest retained snapshot's LSN.  Until this many valid
+      snapshots exist, :meth:`DurableStore.snapshot_due` asks for a
+      new one at every checkpoint, so a damaged newest snapshot always
+      has a fallback.
     - ``os_fsync`` -- issue real ``os.fsync`` calls.  False keeps the
       modeled sync boundary (flush + ``synced_size``) without the
       physical-disk cost; tests and benches that crash via
@@ -92,15 +96,12 @@ class DurabilityPolicy:
     """
 
     fsync_every: int = 1
-    snapshot_every: int = 8
     keep_snapshots: int = 2
     os_fsync: bool = True
 
     def __post_init__(self) -> None:
         if self.fsync_every < 1:
             raise ValueError("fsync_every must be >= 1")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if self.keep_snapshots < 1:
             raise ValueError("keep_snapshots must be >= 1")
 
@@ -134,7 +135,16 @@ class DurableStore:
         self.snapshot_lsn = report.snapshot_lsn
         self.appends = 0
         self.snapshots_written = 0
-        self._since_snapshot = 0
+        # What snapshot_due weighs: the newest snapshot's item count,
+        # the items logged after it, and the snapshot LSNs known valid
+        # (read back at open, or written by this process).  Older
+        # snapshots are not re-read at open; counting them unverified
+        # would let a damaged one stand in for a fallback.
+        chk = report.checkpoint
+        self.snapshot_items = chk.item_count() if chk is not None else 0
+        self.items_since_snapshot = sum(len(r.payload)
+                                        for r in report.records)
+        self._valid_snapshots = set() if chk is None else {self.snapshot_lsn}
         self._fsyncs_closed = 0  # from writers already rotated out
         self._writer: Optional[WalWriter] = None
         self._closed = False
@@ -233,6 +243,8 @@ class DurableStore:
             raise DurabilityError("bootstrap on a non-fresh store")
         write_snapshot(self.root, 0, chk, os_fsync=self.policy.os_fsync)
         self.snapshot_lsn = 0
+        self.snapshot_items = chk.item_count()
+        self._valid_snapshots = {0}
         self._start_segment(1)
 
     def close(self) -> None:
@@ -256,7 +268,7 @@ class DurableStore:
         writer = self._require_writer()
         record = writer.append(op, payload)
         self.appends += 1
-        self._since_snapshot += 1
+        self.items_since_snapshot += len(payload)
         if writer.pending_records >= self.policy.fsync_every:
             writer.sync()
         return record
@@ -265,9 +277,13 @@ class DurableStore:
         """Force the active segment durable (covers any pending tail)."""
         self._require_writer().sync()
 
-    def should_snapshot(self) -> bool:
-        """Advisory: has ``snapshot_every`` elapsed since the last one?"""
-        return self._since_snapshot >= self.policy.snapshot_every
+    def snapshot_due(self) -> bool:
+        """Should the next checkpoint be published?  True while fewer
+        than ``keep_snapshots`` valid snapshots are on disk, or once
+        the items logged since the newest snapshot reach its item
+        count (a reopen would read twice that snapshot's items)."""
+        return (len(self._valid_snapshots) < self.policy.keep_snapshots
+                or self.items_since_snapshot >= self.snapshot_items)
 
     def snapshot(self, chk: Checkpoint, *,
                  crash_before_rename: bool = False) -> str:
@@ -292,9 +308,11 @@ class DurableStore:
             return path
         self.snapshot_lsn = lsn
         self.snapshots_written += 1
-        self._since_snapshot = 0
+        self.snapshot_items = chk.item_count()
+        self.items_since_snapshot = 0
+        self._valid_snapshots.add(lsn)
         self._start_segment(lsn + 1)
-        self._prune()
+        self._valid_snapshots &= self._prune()
         return path
 
     # -- introspection ---------------------------------------------------
@@ -318,6 +336,8 @@ class DurableStore:
             "fsyncs": self._fsyncs_closed + fsyncs,
             "snapshots_written": self.snapshots_written,
             "snapshot_lsn": self.snapshot_lsn,
+            "snapshot_items": self.snapshot_items,
+            "wal_items_since_snapshot": self.items_since_snapshot,
             "replayed_on_open": len(self.report.records),
             "truncated_bytes_on_open": self.report.truncated_bytes,
         }
@@ -338,9 +358,9 @@ class DurableStore:
         self._writer = WalWriter(path, next_lsn=first_lsn, synced_size=0,
                                  os_fsync=self.policy.os_fsync)
 
-    def _prune(self) -> None:
+    def _prune(self) -> Set[int]:
         """Drop snapshots beyond retention and segments no replay from
-        the oldest kept snapshot could need."""
+        the oldest kept snapshot could need; returns the kept LSNs."""
         snaps = list_snapshots(self.root)
         keep = snaps[-self.policy.keep_snapshots:]
         for info in snaps[:-self.policy.keep_snapshots]:
@@ -353,3 +373,4 @@ class DurableStore:
         for (first, path), (next_first, _) in zip(segments, segments[1:]):
             if next_first <= oldest_kept + 1:
                 os.remove(path)
+        return {info.lsn for info in keep}

@@ -40,12 +40,19 @@ With a :class:`~repro.recovery.durable.store.DurableStore` attached
 (``durable=``), the checkpoint + log additionally survive *host*
 crashes: every successful mutating batch is appended to the on-disk
 WAL **before** ``run`` returns (so an acked write is a durable write,
-RPO = 0), the durable snapshot rotates in lockstep with the in-memory
-checkpoint, and constructing a manager over a state dir with prior
-state restores it onto a fresh ``rebuild()`` structure instead of
-using the one passed in: the WAL tail is folded onto the snapshot's
-items on the host and the net state is loaded once, so restart cost
-grows with the distinct keys the tail touches, not with its records.
+RPO = 0).  An in-memory checkpoint is published as a disk snapshot
+only when :meth:`~repro.recovery.durable.store.DurableStore.snapshot_due`
+says so -- once the WAL since the last snapshot holds as many items
+as that snapshot -- so snapshot bytes stay O(1) amortised per logged
+item instead of a full rewrite every ``checkpoint_every`` batches.
+Between publications disk keeps the older snapshot plus the whole WAL
+after it, which describes the same state as the newer in-memory
+checkpoint plus its shorter log.  Constructing a manager over a state
+dir with prior state restores it onto a fresh ``rebuild()`` structure
+instead of using the one passed in: the WAL tail is folded onto the
+snapshot's items on the host and the net state is loaded once, so
+restart cost grows with the distinct keys the tail touches, not with
+its records.
 """
 
 from __future__ import annotations
@@ -294,7 +301,7 @@ class RecoveryManager:
                 return
             self._log.clear()
             self._mutations = 0
-            if self.durable is not None:
+            if self.durable is not None and self.durable.snapshot_due():
                 self.durable.snapshot(self.checkpoint)
 
     def _recover(self, op: str, payload: Sequence, exc: Exception) -> Any:

@@ -720,7 +720,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     du.add_argument("--modules", type=int, default=8,
                     help="PIM modules per machine (default 8)")
     du.add_argument("--checkpoint-every", type=int, default=3,
-                    help="snapshot every N acked records (default 3)")
+                    help="checkpoint every N acked records; disk "
+                         "snapshots follow when due (default 3)")
     du.add_argument("--faults", default=None,
                     help="comma-separated disk fault names "
                          "(default: all registered disk faults)")

@@ -32,9 +32,11 @@ from repro.recovery.durable import (
     write_snapshot,
 )
 from repro.recovery.durable.wal import decode_record, encode_record
+from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
+from repro.verify.oracle import SequentialOracle
 
-FAST = DurabilityPolicy(snapshot_every=3, os_fsync=False)
+FAST = DurabilityPolicy(os_fsync=False)
 
 
 def _chk(pairs) -> Checkpoint:
@@ -281,6 +283,34 @@ class TestDurableStore:
         assert stats["appends"] == 4
         assert stats["fsyncs"] >= 4  # rotation must not reset the count
 
+    def test_snapshot_due_once_the_log_matches_the_snapshot(self, tmp_path):
+        root = str(tmp_path)
+        store = self._boot(root, pairs=[(k, k) for k in range(4)])
+        # one valid snapshot on disk: publish regardless of size, so a
+        # damaged newest snapshot always has a fallback
+        assert store.snapshot_due()
+        store.append("upsert", [[9, 9]])
+        store.snapshot(_chk([(k, k) for k in range(5)]))
+        assert not store.snapshot_due()
+        for i in range(4):
+            store.append("upsert", [[10 + i, i]])
+        assert not store.snapshot_due()  # 4 logged items < 5 snapshotted
+        store.append("delete", [10])
+        assert store.snapshot_due()
+        stats = store.stats()
+        assert stats["snapshot_items"] == 5
+        assert stats["wal_items_since_snapshot"] == 5
+        store.close()
+        # Reopen reads back only the newest snapshot, so the older one
+        # is unverified: the next checkpoint publishes again.
+        again = DurableStore.open(root, FAST)
+        assert again.stats()["snapshot_items"] == 5
+        assert again.stats()["wal_items_since_snapshot"] == 5
+        again.snapshot(_chk([(k, k) for k in range(5)]))
+        assert again.stats()["wal_items_since_snapshot"] == 0
+        assert not again.snapshot_due()
+        again.close()
+
 
 class TestFsck:
     def _store(self, root: str) -> None:
@@ -450,3 +480,65 @@ class TestManagerDurableWiring:
         assert manager2.run("get", [5]) == ["x"]  # acked write kept
         assert store2.last_durable_lsn == 1
         store2.close()
+
+
+class TestAmortisedSnapshots:
+    """A checkpoint is published to disk only once the WAL since the
+    last snapshot holds as many items as that snapshot."""
+
+    def test_snapshots_are_paid_per_logged_item(self, tmp_path):
+        root = str(tmp_path)
+        manager, store = _durable_manager(root, checkpoint_every=1)
+        oracle = SequentialOracle(ITEMS)
+        for i in range(64):
+            payload = [(1000 + i, f"n{i}")]
+            manager.run("upsert", payload)
+            oracle.apply_batch("upsert", payload)
+            assert manager.log_size == 0  # in-memory checkpoint per batch
+        # Publishing at every checkpoint would write 64 snapshots; the
+        # rule writes one at the first checkpoint, then one each time
+        # the log catches up with the snapshot (13, 27, 54 items).
+        assert store.snapshots_written <= 4
+        store.close()
+        manager2, store2 = _durable_manager(root, checkpoint_every=1)
+        tail = len(store2.report.records)
+        assert tail <= store2.stats()["snapshot_items"] + 1
+        assert manager2.structure.to_dict() == oracle.data
+        store2.close()
+
+    def test_unpublished_checkpoint_survives_crash_failover_and_damage(
+            self, tmp_path):
+        root = str(tmp_path)
+        manager, store = _durable_manager(root, checkpoint_every=1)
+        oracle = SequentialOracle(ITEMS)
+        ops = [("upsert", [(k, f"u{k}")]) for k in range(1, 6)]
+        ops.append(("delete", [20]))
+        for op, payload in ops:
+            manager.run(op, payload)
+            oracle.apply_batch(op, payload)
+        # six in-memory checkpoints, only the first one on disk
+        assert store.snapshots_written == 1
+        assert manager.log_size == 0
+        store.crash(b"\x05\x00\x00")
+
+        manager2, store2 = _durable_manager(root, checkpoint_every=1)
+        assert manager2.structure.to_dict() == oracle.data
+        assert len(store2.report.records) == 5
+        # the reopened checkpoint + log must also drive a failover
+        machine = manager2.structure.machine
+        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+        machine.wipe_module(2)
+        keys = sorted(oracle.data)
+        assert manager2.run("get", keys) == [oracle.data[k] for k in keys]
+        assert manager2.recoveries == 1
+        manager2.run("upsert", [(7, "z")])
+        oracle.apply_batch("upsert", [(7, "z")])
+        store2.close()
+
+        newest = list_snapshots(root)[-1].path
+        with open(newest, "r+b") as f:
+            f.truncate(os.path.getsize(newest) // 2)
+        manager3, store3 = _durable_manager(root, checkpoint_every=1)
+        assert store3.report.corrupt_snapshots == [newest]
+        assert manager3.structure.to_dict() == oracle.data
+        store3.close()

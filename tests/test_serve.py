@@ -550,3 +550,20 @@ class TestServer:
         json.dumps(status)  # must not raise
         assert status["journal_batches"] == 1
         assert status["tenants"]["t"]["completed"] == 1
+
+    def test_status_reports_the_snapshot_debt(self, tmp_path):
+        async def scenario():
+            config = ServerConfig(state_dir=str(tmp_path), os_fsync=False)
+            server, _ = _server(config=config)
+            await server.start()
+            await server.submit("t", "upsert", [(1, "a"), (3, "b")])
+            await server.submit("t", "delete", [4])
+            status = server.status()
+            await server.stop()
+            return status
+
+        durability = _run(scenario())["durability"]
+        # two batches, under the default 4-batch checkpoint cadence:
+        # the bootstrap snapshot of the 50 built items is still newest
+        assert durability["snapshot_items"] == 50
+        assert durability["wal_items_since_snapshot"] == 3
